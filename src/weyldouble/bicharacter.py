@@ -7,6 +7,7 @@ Cartan entry c_pj exists for every j.  The probe below returns a
 tri-state answer (finite / proven infinite / scan cap reached).
 """
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +107,14 @@ class NotPFiniteError(ValueError):
 
 
 class Bicharacter:
-    """chi on Z^I, given by its matrix of values on the standard basis."""
+    """chi on Z^I, given by its matrix of values on the standard basis.
+
+    Each scalar context keeps one canonical instance per entry matrix:
+    the constructor registers a new key, and every bicharacter derived in
+    the package (op, inverse, pullback, reflections, loaded objects) comes
+    from :meth:`interned`.  Equal keys therefore share one ``_cache`` of
+    Gram matrices, kernels, straightening tables and Lusztig maps.
+    """
 
     def __init__(self, ctx, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -124,6 +132,20 @@ class Bicharacter:
         self.entries = entries
         self.key = entries  # canonical object identity (scalars are canonical)
         self._cache = {}
+        self._lock = threading.Lock()  # guards read-extend-append memo lists
+        self._register()
+
+    def _register(self):
+        """The context's instance for this key, registering self if the key is new."""
+        with self.ctx.bicharacters_lock:
+            return self.ctx.bicharacters.setdefault(self.key, self)
+
+    @classmethod
+    def interned(cls, ctx, entries):
+        """The canonical bicharacter over ctx with these entries."""
+        entries = tuple(tuple(row) for row in entries)
+        chi = ctx.bicharacters.get(entries)
+        return chi if chi is not None else cls(ctx, entries)._register()
 
     def __eq__(self, other):
         return (isinstance(other, Bicharacter) and self.ctx == other.ctx
@@ -151,14 +173,14 @@ class Bicharacter:
 
     def op(self):
         if "op" not in self._cache:
-            self._cache["op"] = Bicharacter(
+            self._cache["op"] = Bicharacter.interned(
                 self.ctx, tuple(tuple(self.entries[j][i] for j in range(self.rank))
                                 for i in range(self.rank)))
         return self._cache["op"]
 
     def inverse(self):
         if "inverse" not in self._cache:
-            self._cache["inverse"] = Bicharacter(
+            self._cache["inverse"] = Bicharacter.interned(
                 self.ctx, tuple(tuple(x.inverse() for x in row) for row in self.entries))
         return self._cache["inverse"]
 
@@ -166,7 +188,7 @@ class Bicharacter:
         """(w^* chi)(a, b) = chi(w^-1 a, w^-1 b)."""
         winv = mat_inverse_int(w)
         cols = [mat_vec(winv, basis_vector(self.rank, j)) for j in range(self.rank)]
-        return Bicharacter(
+        return Bicharacter.interned(
             self.ctx, tuple(tuple(self.value(cols[i], cols[j]) for j in range(self.rank))
                             for i in range(self.rank)))
 
@@ -288,9 +310,11 @@ class Bicharacter:
             if image.cartan_entry(p, j, cap) != self.cartan_entry(p, j, cap):
                 raise AssertionError("Cartan row not preserved by reflection")
         s2 = image.reflection_matrix(p, cap)
-        if s2 != s or image.pullback(s2).key != self.key:
+        back = image.pullback(s2)
+        if s2 != s or back.key != self.key:
             raise AssertionError("reflection is not an involution")
         self._cache[key] = (s, image)
+        image._cache.setdefault(key, (s, back))
         return s, image
 
     def lambda_factor(self, p, i, cap=DEFAULT_SCAN_CAP):

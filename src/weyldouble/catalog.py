@@ -23,7 +23,7 @@ class CatalogEntry:
     def build(self):
         ctx = _context_of(self.context)
         entries = [[parse_scalar(ctx, cell) for cell in row] for row in self.matrix]
-        return Bicharacter(ctx, entries)
+        return Bicharacter.interned(ctx, entries)
 
 
 def _context_of(desc):

@@ -325,12 +325,15 @@ def e_plus(chi, p, i, m):
         raise ValueError("root vector elements require i != p")
     cache = chi._cache.setdefault(("e_plus", p, i), [FreeElement.generator(chi, i)])
     while len(cache) <= m:
-        prev = cache[-1]
+        k = len(cache)
+        prev = cache[k - 1]
         ep = FreeElement.generator(chi, p)
         alpha_p = basis_vector(chi.rank, p)
         value = ep * prev - act_k(alpha_p, prev) * ep
-        assert value == e_plus_closed(chi, p, i, len(cache))
-        cache.append(value)
+        assert value == e_plus_closed(chi, p, i, k)
+        with chi._lock:
+            if len(cache) == k:  # another thread may have appended index k
+                cache.append(value)
     return cache[m]
 
 
@@ -340,12 +343,15 @@ def e_minus(chi, p, i, m):
         raise ValueError("root vector elements require i != p")
     cache = chi._cache.setdefault(("e_minus", p, i), [FreeElement.generator(chi, i)])
     while len(cache) <= m:
-        prev = cache[-1]
+        k = len(cache)
+        prev = cache[k - 1]
         ep = FreeElement.generator(chi, p)
         alpha_p = basis_vector(chi.rank, p)
         value = ep * prev - act_l(alpha_p, prev) * ep
-        assert value == e_minus_closed(chi, p, i, len(cache))
-        cache.append(value)
+        assert value == e_minus_closed(chi, p, i, k)
+        with chi._lock:
+            if len(cache) == k:  # another thread may have appended index k
+                cache.append(value)
     return cache[m]
 
 

@@ -13,6 +13,8 @@ payloads are identical.  Zero-testing is exact; there is no floating
 point anywhere.
 """
 
+import threading
+import weakref
 from fractions import Fraction
 
 from .polys import (grlex_key, p_add, p_const, p_content, p_divexact,
@@ -88,6 +90,12 @@ class ScalarContext:
             raise ScalarError(f"unknown backend {backend!r}")
         self.zero = self._make_zero()
         self.one = self.integer(1)
+        # the canonical Bicharacter of each entry matrix over this context
+        self.bicharacters = weakref.WeakValueDictionary()
+        self.bicharacters_lock = threading.Lock()
+        # Pascal rows of the Gaussian binomials, per base payload; each value
+        # is an immutable tuple of rows that is only ever replaced whole
+        self.q_binomial_rows = {}
 
     @staticmethod
     def cyclotomic(order):
@@ -427,16 +435,24 @@ def q_binomial(m, n, q):
         raise ScalarError("q-binomial base must be nonzero")
     if n < 0 or n > m:
         return q.ctx.zero
-    row = [q.ctx.one]
-    qpow = [q.ctx.one]
-    for k in range(1, m + 1):
-        qpow.append(qpow[-1] * q)
-        new = [q.ctx.one]
-        for j in range(1, k):
-            new.append(row[j - 1] + qpow[j] * row[j])
-        new.append(q.ctx.one)
-        row = new
-    return row[n]
+    memo = q.ctx.q_binomial_rows
+    rows = memo.get(q.payload, ((q.ctx.one,),))
+    if len(rows) <= m:
+        rows = list(rows)
+        row = rows[-1]
+        qpow = [q.ctx.one]
+        for _ in range(1, m):
+            qpow.append(qpow[-1] * q)
+        for k in range(len(rows), m + 1):
+            new = [q.ctx.one]
+            for j in range(1, k):
+                new.append(row[j - 1] + qpow[j] * row[j])
+            new.append(q.ctx.one)
+            row = tuple(new)
+            rows.append(row)
+        rows = tuple(rows)
+        memo[q.payload] = rows
+    return rows[m][n]
 
 
 # literal parser ---------------------------------------------------------

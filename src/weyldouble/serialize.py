@@ -8,7 +8,8 @@ import hashlib
 import json
 
 from .bicharacter import Bicharacter
-from .scalar import CYCLOTOMIC, ScalarContext, parse_scalar, render_scalar
+from .scalar import (BackendMismatch, CYCLOTOMIC, ScalarContext, parse_scalar,
+                     render_scalar)
 
 
 def context_to_json(ctx):
@@ -33,14 +34,20 @@ def bicharacter_to_json(chi):
     }
 
 
-def bicharacter_from_json(data):
-    ctx = context_from_json(data["scalar"])
+def bicharacter_from_json(data, ctx=None):
+    """The bicharacter described by data; pass ctx to load several
+    objects into one scalar context, so that they share its instances."""
+    declared = context_from_json(data["scalar"])
+    if ctx is None:
+        ctx = declared
+    elif ctx != declared:
+        raise BackendMismatch("bicharacter declared in a different scalar context")
     rank = data["rank"]
     rows = data["q"]
     if len(rows) != rank or any(len(r) != rank for r in rows):
         raise ValueError("matrix shape does not match the declared rank")
     entries = [[parse_scalar(ctx, cell) for cell in row] for row in rows]
-    return Bicharacter(ctx, entries)
+    return Bicharacter.interned(ctx, entries)
 
 
 def object_label(chi):
@@ -71,9 +78,11 @@ def scheme_to_json(scheme):
 def scheme_from_json(data):
     from .groupoid import CartanScheme
     objects = {}
+    ctx = None
     for label, desc in data["objects"].items():
-        chi = bicharacter_from_json(desc)
+        chi = bicharacter_from_json(desc, ctx)
         objects[label] = chi
+        ctx = chi.ctx
     by_label = {label: chi.key for label, chi in objects.items()}
     edges = {(by_label[e["from"]], e["p"]): by_label[e["to"]]
              for e in data["edges"]}

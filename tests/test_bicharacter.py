@@ -1,5 +1,6 @@
 """Bicharacter evaluation, transforms, Cartan data, reflections, heights."""
 
+import gc
 import random
 
 import pytest
@@ -32,6 +33,38 @@ def test_eval_biadditive(chi, ctx):
         ab = tuple(x + y for x, y in zip(a, b))
         assert chi.value(ab, c) == chi.value(a, c) * chi.value(b, c)
         assert chi.value(c, ab) == chi.value(c, a) * chi.value(c, b)
+
+
+def test_derived_bicharacters_are_interned():
+    ctx = ScalarContext.parameters("q", "r")
+    q, r = ctx.generator("q"), ctx.generator("r")
+    entries = [[q ** 2, r], [q ** -2 * r ** -1, q ** 2]]
+    chi = Bicharacter(ctx, entries)
+    assert Bicharacter.interned(ctx, entries) is chi
+    assert chi.op().op() is chi
+    assert chi.inverse().inverse() is chi
+    for p in range(chi.rank):
+        s, image = chi.reflect(p)
+        assert image.reflect(p) == (s, chi) and image.reflect(p)[1] is chi
+        assert chi.pullback(s) is image
+    # the public constructor on a known key builds a separate instance
+    # but leaves the registered one in place
+    twin = Bicharacter(ctx, entries)
+    assert twin == chi and twin is not chi
+    assert Bicharacter.interned(ctx, entries) is chi
+    assert twin.op().op() is chi
+
+
+def test_interning_table_holds_weak_references():
+    ctx = ScalarContext.parameters("q")
+    q = ctx.generator("q")
+    chi = Bicharacter(ctx, [[q ** 2, q ** -1], [q ** -1, q ** 2]])
+    chi.reflect(0)
+    chi.inverse()
+    assert len(ctx.bicharacters) == 2
+    del chi
+    gc.collect()
+    assert len(ctx.bicharacters) == 0
 
 
 def test_transforms(chi):

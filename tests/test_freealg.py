@@ -1,6 +1,8 @@
 """Free-algebra arithmetic, skew-derivations, coproduct, Nichols machinery."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -211,6 +213,45 @@ def test_f_side_transport_matches_recursion(a2):
         for _ in range(m):
             direct = fp * direct - act_k(basis_vector(2, 0), direct) * fp
         assert f_minus(a2, 0, 1, m) == direct
+
+
+def test_root_vector_memo_under_threads():
+    # more threads than cores extend the e_plus / e_minus memo lists of
+    # one interned bicharacter at once; a lost or doubled append would
+    # misplace an index and break the closed forms
+    ctx = ScalarContext.parameters("q")
+    q = ctx.generator("q")
+    chi = Bicharacter.interned(ctx, [[q ** 2, q ** -1], [q ** -1, q ** 2]])
+    top = 5
+    errors = []
+
+    def work(seed):
+        order = [(f, p, 1 - p, m) for f in (e_plus, e_minus)
+                 for p in (0, 1) for m in range(top + 1)]
+        random.Random(seed).shuffle(order)
+        try:
+            for f, p, i, m in order:
+                f(chi, p, i, m)
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    for name, closed in (("e_plus", e_plus_closed), ("e_minus", e_minus_closed)):
+        for p in (0, 1):
+            memo = chi._cache[(name, p, 1 - p)]
+            assert len(memo) == top + 1
+            assert all(memo[m] == closed(chi, p, 1 - p, m) for m in range(top + 1))
 
 
 def test_e_plus_minus_difference(entries):

@@ -185,6 +185,22 @@ def test_scheme_json_round_trip(schemes):
         rebuilt = scheme_from_json(data)
         assert scheme_to_json(rebuilt) == data
         assert rebuilt.verify_axioms()
+        assert_reflections_are_scheme_objects(rebuilt)
+
+
+def assert_reflections_are_scheme_objects(scheme):
+    for key, ob in scheme.objects.items():
+        for p in range(ob.rank):
+            target = scheme.objects[scheme.edges[(key, p)]]
+            assert ob.reflect(p)[1] is target, (key, p)
+
+
+def test_reflections_land_on_scheme_objects(schemes):
+    # A2-super has six objects; every reflection image is the scheme's
+    # own instance, so caches on the objects serve the reflections too
+    assert len(schemes["A2-super"].objects) == 6
+    for name in ("A2-super", "A2-twoparam", "A3"):
+        assert_reflections_are_scheme_objects(schemes[name])
 
 
 def test_op_and_inverse_schemes_match(entries):

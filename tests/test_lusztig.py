@@ -192,12 +192,34 @@ def test_alternating_chain_images(entries):
                 assert ratio is not None and not ratio.is_zero(), name
 
 
-def test_coxeter_relations(entries):
+def test_coxeter_relations(entries, monkeypatch):
+    built = []
+    init = Bicharacter.__init__
+
+    def recording_init(self, ctx, entries):
+        init(self, ctx, entries)
+        built.append(self)
+    monkeypatch.setattr(Bicharacter, "__init__", recording_init)
     for name, M in (("A2", 3), ("B2", 4), ("G2", 6),
                     ("A2-super", 3), ("A2-twoparam", 3), ("A2-zeta4", 3)):
         rep = coxeter_check(entries[name], 0, 1)
         assert rep.M == M, name
         assert all(not a.is_zero() for a in rep.twist)
+    # no key got a second instance, so the Gram matrices of G2 were
+    # built once, on the catalog object itself
+    keys = [(chi.ctx, chi.key) for chi in built]
+    assert len(keys) == len(set(keys))
+    g2 = entries["G2"]
+    assert all(chi.key != g2.key for chi in built)
+    assert g2._cache["gram"]
+
+
+def test_chain_targets_are_shared_instances(entries):
+    # on G2 at generic q every r_p fixes chi, and each stage lands on chi
+    chi = entries["G2"]
+    for direction in ("+", "-"):
+        maps = lusztig_chain(chi, (0, 1) * 3, direction)
+        assert all(m.source is chi and m.target is chi for m in maps)
 
 
 def test_coxeter_orthogonal_pair():

@@ -73,6 +73,17 @@ def test_q_binomial_against_quantum_plane(param_ctx):
                 if 0 <= n <= m else q_binomial(m, n, q).is_zero()
 
 
+def test_q_binomial_memo_independent_of_call_order():
+    # the Pascal rows are memoized per context: asking for a high row first,
+    # then lower ones, then a higher one again must agree with the oracle
+    for q in (ScalarContext.parameters("q").generator("q"),
+              ScalarContext.cyclotomic(5).root_of_unity()):
+        for m in (6, 2, 0, 4, 7):
+            for n in range(0, m + 1):
+                assert q_binomial(m, n, q) == quantum_plane_binomial(m, n, q), (m, n)
+        assert len(q.ctx.q_binomial_rows[q.payload]) == 8
+
+
 def test_q_binomial_edge_rows(param_ctx):
     q = param_ctx.generator("q")
     for m in range(0, 9):
