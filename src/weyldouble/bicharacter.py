@@ -30,16 +30,8 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def vec_scale(k, a):
-    return tuple(k * x for x in a)
 
 
 def mat_identity(n):
@@ -283,12 +275,13 @@ class Bicharacter:
                   for p in range(self.rank))
         # (M1)/(M2) sanity: generalized Cartan matrix shape.
         for i in range(self.rank):
-            assert c[i][i] == 2
+            if c[i][i] != 2:
+                raise AssertionError(f"(M1) violated: c[{i}][{i}] = {c[i][i]} in {c}")
             for j in range(self.rank):
-                if i != j:
-                    assert c[i][j] <= 0
-                    assert (c[i][j] == 0) == (c[j][i] == 0), \
-                        f"(M2) violated at ({i},{j})"
+                if i != j and c[i][j] > 0:
+                    raise AssertionError(f"(M1) violated: c[{i}][{j}] = {c[i][j]} in {c}")
+                if i != j and (c[i][j] == 0) != (c[j][i] == 0):
+                    raise AssertionError(f"(M2) violated at ({i},{j}) in {c}")
         self._cache["cartan"] = c
         return c
 

@@ -10,7 +10,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bicharacter import CAP, NotPFiniteError, basis_vector
 from .catalog import CATALOG, catalog_entry
@@ -160,27 +159,20 @@ def _degrees_of_total(n, total):
 
 
 def _suite_relations(args, chi, scheme, rng):
-    checks = []
+    results = []
     for key in scheme.objects:
         ob = scheme.objects[key]
         for p in range(chi.rank):
             for direction in "+-":
-                checks.append((f"{object_label(ob)}:T_{p + 1}{direction}",
-                               ob, p, direction))
-
-    def run(check):
-        label, ob, p, direction = check
-        rep = check_defining_relations(build_lusztig_map(ob, p, direction),
-                                       args.degree_cap)
-        result = {"check": "defining-relations",
-                  "object": label.split(":")[0],
-                  "word": label.split(":")[1],
-                  "status": "pass" if rep.passed else "fail"}
-        if rep.failures:
-            result["witness"] = rep.failures[0]
-        return result
-
-    results = _run_parallel(args, checks, run)
+                rep = check_defining_relations(
+                    build_lusztig_map(ob, p, direction), args.degree_cap)
+                result = {"check": "defining-relations",
+                          "object": object_label(ob),
+                          "word": f"T_{p + 1}{direction}",
+                          "status": "pass" if rep.passed else "fail"}
+                if rep.failures:
+                    result["witness"] = rep.failures[0]
+                results.append(result)
     # seeded sampling: commutators with F_i realize the skew-derivations
     from .double import DoubleElement, commutator
     from .freealg import der_k, der_l, words_of_degree
@@ -210,14 +202,14 @@ def _suite_relations(args, chi, scheme, rng):
 
 
 def _suite_coxeter(args, chi, scheme, rng):
-    checks = [(i, j) for i in range(chi.rank) for j in range(chi.rank) if i < j]
-
-    def run(pair):
-        i, j = pair
-        rep = coxeter_check(chi, i, j, args.rank2_cap, args.degree_cap)
-        return {"check": "coxeter", "pair": [i + 1, j + 1], "M": rep.M,
-                "twist": [str(a) for a in rep.twist], "status": "pass"}
-    return _run_parallel(args, checks, run)
+    results = []
+    for i in range(chi.rank):
+        for j in range(i + 1, chi.rank):
+            rep = coxeter_check(chi, i, j, args.rank2_cap, args.degree_cap)
+            results.append({"check": "coxeter", "pair": [i + 1, j + 1],
+                            "M": rep.M, "twist": [str(a) for a in rep.twist],
+                            "status": "pass"})
+    return results
 
 
 def _suite_serre(args, chi, scheme, rng):
@@ -284,13 +276,6 @@ SUITE_RUNNERS = {
 }
 
 
-def _run_parallel(args, checks, run):
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(run, checks))
-    return [run(check) for check in checks]
-
-
 def cmd_verify(args):
     chi = load_bicharacter(args.input)
     scheme = _explore(args, chi)
@@ -331,7 +316,6 @@ def build_parser():
                        dest="morphism_cap")
         p.add_argument("--rank2-cap", type=int, default=64, dest="rank2_cap")
         p.add_argument("--scan-cap", type=int, default=64, dest="scan_cap")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
     for name, fn in [("analyze", cmd_analyze), ("orbit", cmd_orbit),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .bicharacter import basis_vector, vec_add, vec_neg
 from .freealg import (DEFAULT_DEGREE_CAP, E_SIDE, F_SIDE, DegreeCapExceeded,
                       FreeElement, gram_matrix, word_degree, words_of_degree)
-from .linalg import mat_is_zero, mat_mul
+from .linalg import mat_is_zero, mat_mul, nullspace, rref
 
 def _zvec(n):
     return (0,) * n
@@ -392,7 +392,13 @@ def pairing_gram(chi, mu):
     return [[_pair_words(chi, u, v, memo) for v in words] for u in words]
 
 
-# zero-testing in the Nichols quotient -----------------------------------------
+# quotients by an ideal given through its functionals ---------------------------
+#
+# A two-sided ideal generated by one-sided homogeneous elements is
+# described by its functionals: functionals(mu, side) is a matrix whose
+# rows vanish exactly on the ideal's degree-mu component on that side.  A
+# block C of an element (F-words x E-words) lies in the ideal iff
+# A_F C A_E^T = 0 for the functionals A_F, A_E of its bidegree.
 
 def blocks(x):
     """Group terms into coefficient matrices per (K, L, degF, degE):
@@ -413,28 +419,75 @@ def blocks(x):
     return out
 
 
-def is_zero_in_u(x, degree_cap=DEFAULT_DEGREE_CAP):
-    """Whether x lies in the defining ideal of the Nichols quotient U(chi).
+def nichols_functionals(chi):
+    """Functionals of the Nichols ideal: the derivation Gram matrix over
+    chi on the E-side and over chi^op on the F-side (transport along
+    phi_3).  Its radical is exactly the Nichols component."""
+    op = chi.op()
+    return lambda mu, side: gram_matrix(chi if side == E_SIDE else op, mu)
 
-    Per block the test is G_F C G_E^T = 0 with G_E the derivation Gram
-    matrix over chi and G_F the one over chi^op (F-side transport along
-    phi_3); the Gram matrices have exactly the Nichols components as
-    radicals, so the product vanishes iff the block lies in
-    ker (x) anything + anything (x) ker.
-    """
-    chi = x.chi
-    for (k, l, muF, muE), c_matrix in blocks(x).items():
-        if sum(muF) > degree_cap or sum(muE) > degree_cap:
-            raise DegreeCapExceeded(
-                f"block bidegree ({muF}, {muE}) exceeds cap {degree_cap}")
-        g_f = gram_matrix(chi.op(), muF)
-        g_e = gram_matrix(chi, muE)
-        left = mat_mul(g_f, c_matrix, chi.ctx)
-        # multiply by G_E^T on the right: (left @ g_e^T)
-        g_e_t = [list(col) for col in zip(*g_e)] if g_e else []
-        if not mat_is_zero(mat_mul(left, g_e_t, chi.ctx)):
+
+def _block_functionals(key, functionals, degree_cap):
+    _, _, mu_f, mu_e = key
+    if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
+        raise DegreeCapExceeded(
+            f"block bidegree ({mu_f}, {mu_e}) exceeds the degree cap "
+            f"{degree_cap} (raise it with --degree-cap)")
+    return functionals(mu_f, F_SIDE), functionals(mu_e, E_SIDE)
+
+
+def _sandwich(a_f, c_matrix, a_e, ctx):
+    """A_F C A_E^T."""
+    a_e_t = [list(col) for col in zip(*a_e)]
+    return mat_mul(mat_mul(a_f, c_matrix, ctx), a_e_t, ctx)
+
+
+def blocks_zero(x, functionals, degree_cap=DEFAULT_DEGREE_CAP):
+    """Whether x lies in the ideal described by functionals."""
+    ctx = x.chi.ctx
+    for key, c_matrix in blocks(x).items():
+        a_f, a_e = _block_functionals(key, functionals, degree_cap)
+        if a_f and a_e and not mat_is_zero(_sandwich(a_f, c_matrix, a_e, ctx)):
             return False
     return True
+
+
+def blocks_ratio(lhs, rhs, functionals, degree_cap=DEFAULT_DEGREE_CAP):
+    """The unique scalar a with lhs = a * rhs modulo the ideal described
+    by functionals, or None if rhs lies in the ideal or no consistent a
+    exists."""
+    chi = lhs.chi
+    lb, rb = blocks(lhs), blocks(rhs)
+    ratio = None
+    rhs_nonzero = False
+    for key in sorted(set(lb) | set(rb)):
+        a_f, a_e = _block_functionals(key, functionals, degree_cap)
+        if not a_f or not a_e:
+            continue
+        _, _, mu_f, mu_e = key
+        nf = len(words_of_degree(chi.rank, mu_f))
+        ne = len(words_of_degree(chi.rank, mu_e))
+        zero_block = [[chi.ctx.zero] * ne for _ in range(nf)]
+        lm = _sandwich(a_f, lb.get(key, zero_block), a_e, chi.ctx)
+        rm = _sandwich(a_f, rb.get(key, zero_block), a_e, chi.ctx)
+        for row_l, row_r in zip(lm, rm):
+            for x, y in zip(row_l, row_r):
+                if y.is_zero():
+                    if not x.is_zero():
+                        return None
+                    continue
+                rhs_nonzero = True
+                candidate = x / y
+                if ratio is None:
+                    ratio = candidate
+                elif ratio != candidate:
+                    return None
+    return ratio if rhs_nonzero else None
+
+
+def is_zero_in_u(x, degree_cap=DEFAULT_DEGREE_CAP):
+    """Whether x lies in the defining ideal of the Nichols quotient U(chi)."""
+    return blocks_zero(x, nichols_functionals(x.chi), degree_cap)
 
 
 def _kernel_rref(chi, mu):
@@ -442,10 +495,8 @@ def _kernel_rref(chi, mu):
     component at degree mu, over the words of that degree."""
     cache = chi._cache.setdefault("kernel_rref", {})
     if mu not in cache:
-        from .freealg import nichols_kernel
-        from .linalg import rref
-        basis = nichols_kernel(chi, mu)
-        cache[mu] = rref([list(v) for v in basis]) if basis else ([], [])
+        basis = nullspace(gram_matrix(chi, mu), chi.ctx)
+        cache[mu] = rref(basis) if basis else ([], [])
     return cache[mu]
 
 
@@ -481,19 +532,6 @@ def reduce_mod_nichols(x):
                 if not c.is_zero():
                     out[(fw, k, l, ew)] = c
     return DoubleElement(chi, out)
-
-
-def e_part_mod_nichols(x, degree_cap=DEFAULT_DEGREE_CAP):
-    """If x is congruent mod the Nichols ideal to an element of the upper
-    triangular part, return that E-side free element; else None."""
-    n = x.chi.rank
-    z = _zvec(n)
-    rest = DoubleElement(x.chi, {
-        (f, k, l, e): c for (f, k, l, e), c in x.terms.items()
-        if f or k != z or l != z})
-    if not is_zero_in_u(rest, degree_cap):
-        return None
-    return x.e_part()
 
 
 # generator-image maps ----------------------------------------------------------

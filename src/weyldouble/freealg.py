@@ -8,7 +8,7 @@ in the Nichols quotient via the derivation pairing.
 """
 
 from .bicharacter import basis_vector
-from .linalg import nullspace, rank
+from .linalg import rank
 from .scalar import q_binomial
 
 E_SIDE = "E"
@@ -318,41 +318,38 @@ def braided_coproduct(x):
 
 # iterated q-commutators -----------------------------------------------------
 
-def e_plus(chi, p, i, m):
-    """E^+_{i,m}: m-fold (ad E_p) applied to E_i (K-twisted commutator);
-    each new value is checked against the closed q-binomial form."""
+def _iterated_commutator(chi, p, i, m, name, act, closed):
+    """m-fold twisted (ad E_p) of E_i, with the twist act on the right
+    factor; memoized per (name, p, i) and each new index checked against
+    its closed form."""
     if i == p:
         raise ValueError("root vector elements require i != p")
-    cache = chi._cache.setdefault(("e_plus", p, i), [FreeElement.generator(chi, i)])
+    cache = chi._cache.setdefault((name, p, i), [FreeElement.generator(chi, i)])
     while len(cache) <= m:
         k = len(cache)
         prev = cache[k - 1]
         ep = FreeElement.generator(chi, p)
         alpha_p = basis_vector(chi.rank, p)
-        value = ep * prev - act_k(alpha_p, prev) * ep
-        assert value == e_plus_closed(chi, p, i, k)
+        value = ep * prev - act(alpha_p, prev) * ep
+        if value != closed(chi, p, i, k):
+            raise AssertionError(
+                f"{name}(p={p}, i={i}, k={k}) differs from its closed form "
+                f"over {chi!r}")
         with chi._lock:
             if len(cache) == k:  # another thread may have appended index k
                 cache.append(value)
     return cache[m]
+
+
+def e_plus(chi, p, i, m):
+    """E^+_{i,m}: m-fold (ad E_p) applied to E_i (K-twisted commutator);
+    each new value is checked against the closed q-binomial form."""
+    return _iterated_commutator(chi, p, i, m, "e_plus", act_k, e_plus_closed)
 
 
 def e_minus(chi, p, i, m):
     """E^-_{i,m}: the L-twisted variant, checked against its closed form."""
-    if i == p:
-        raise ValueError("root vector elements require i != p")
-    cache = chi._cache.setdefault(("e_minus", p, i), [FreeElement.generator(chi, i)])
-    while len(cache) <= m:
-        k = len(cache)
-        prev = cache[k - 1]
-        ep = FreeElement.generator(chi, p)
-        alpha_p = basis_vector(chi.rank, p)
-        value = ep * prev - act_l(alpha_p, prev) * ep
-        assert value == e_minus_closed(chi, p, i, k)
-        with chi._lock:
-            if len(cache) == k:  # another thread may have appended index k
-                cache.append(value)
-    return cache[m]
+    return _iterated_commutator(chi, p, i, m, "e_minus", act_l, e_minus_closed)
 
 
 def e_plus_closed(chi, p, i, m):
@@ -478,15 +475,6 @@ def nichols_dim(chi, mu, degree_cap=DEFAULT_DEGREE_CAP):
     cache = chi._cache.setdefault("nichols_dim", {})
     if mu not in cache:
         cache[mu] = rank(gram_matrix(chi, mu))
-    return cache[mu]
-
-
-def nichols_kernel(chi, mu):
-    """Basis (coefficient vectors over words_of_degree) of the degree-mu
-    part of the Nichols ideal."""
-    cache = chi._cache.setdefault("nichols_kernel", {})
-    if mu not in cache:
-        cache[mu] = nullspace(gram_matrix(chi, mu), chi.ctx)
     return cache[mu]
 
 

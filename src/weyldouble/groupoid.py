@@ -93,8 +93,8 @@ def explore(chi, object_cap=DEFAULT_OBJECT_CAP, scan_cap=None):
             edges[(key, p)] = image.key
     scheme = CartanScheme(chi.key, objects, edges, cartan, complete,
                           cap=object_cap)
-    if complete:
-        assert scheme.verify_axioms()
+    if complete and not scheme.verify_axioms():
+        raise AssertionError(f"(C1)/(C2) fail on the scheme explored from {chi!r}")
     return scheme
 
 
@@ -148,8 +148,14 @@ def is_finite(scheme, morphism_cap=DEFAULT_MORPHISM_CAP):
     # a finite real root set, and every Hom-set is nonempty and finite.
     for key in scheme.objects:
         entry = real_roots(scheme, key, morphism_cap)
-        assert len(entry.positive) * 2 == len(entry.roots)
-    assert set(hom_counts) == set(scheme.objects)
+        if len(entry.positive) * 2 != len(entry.roots):
+            raise AssertionError(
+                f"object {key}: {len(entry.positive)} positive roots "
+                f"among {len(entry.roots)} real roots")
+    if set(hom_counts) != set(scheme.objects):
+        raise AssertionError(
+            f"Hom-sets from the source reach {len(hom_counts)} targets, "
+            f"the scheme has {len(scheme.objects)} objects")
     return FinitenessReport(True, len(morphisms), hom_counts)
 
 

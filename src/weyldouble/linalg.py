@@ -5,29 +5,6 @@ def mat_zero_scalar(ctx, rows, cols):
     return [[ctx.zero] * cols for _ in range(rows)]
 
 
-def rank(matrix):
-    if not matrix or not matrix[0]:
-        return 0
-    m = [row[:] for row in matrix]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def rref(matrix):
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     if not matrix or not matrix[0]:
@@ -52,6 +29,10 @@ def rref(matrix):
         if r == rows:
             break
     return m[:r], pivots
+
+
+def rank(matrix):
+    return len(rref(matrix)[1])
 
 
 def nullspace(matrix, ctx):

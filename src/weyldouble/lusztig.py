@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 from .bicharacter import basis_vector, mat_identity, mat_mul_int, mat_vec
 from .double import (DoubleElement, DoubleMap, _invert_monomial, ad_e,
-                     ad_e_prime, blocks, is_zero_in_u, phi_1, phi_perm,
-                     reduce_mod_nichols)
-from .freealg import (DEFAULT_DEGREE_CAP, E_SIDE, F_SIDE, FreeElement,
-                      DegreeCapExceeded, der_k, der_l, e_minus, e_plus,
-                      f_minus, f_plus, gram_matrix, nichols_is_zero,
-                      words_of_degree)
+                     ad_e_prime, blocks_ratio, blocks_zero, is_zero_in_u,
+                     nichols_functionals, phi_1, phi_perm, reduce_mod_nichols)
+from .freealg import (DEFAULT_DEGREE_CAP, E_SIDE, F_SIDE, FreeElement, der_k,
+                      der_l, e_minus, e_plus, f_minus, f_plus,
+                      nichols_is_zero, words_of_degree)
 from .groupoid import (InfiniteGroupoidError, longest_word_from,
                        morphisms_from, rank2_M, real_roots)
-from .linalg import mat_is_zero, mat_mul, nullspace
+from .linalg import nullspace
 
 # root-vector ideals ----------------------------------------------------------
 
@@ -227,84 +226,14 @@ def check_defining_relations(tmap, degree_cap=DEFAULT_DEGREE_CAP):
 
 # scalar-ratio solving mod the Nichols ideal ----------------------------------
 
-def _sandwich(chi, key, c_matrix):
-    k, l, mu_f, mu_e = key
-    g_f = gram_matrix(chi.op(), mu_f)
-    g_e = gram_matrix(chi, mu_e)
-    left = mat_mul(g_f, c_matrix, chi.ctx)
-    g_e_t = [list(col) for col in zip(*g_e)] if g_e else []
-    return mat_mul(left, g_e_t, chi.ctx)
-
-
 def solve_ratio_mod_nichols(lhs, rhs, degree_cap=DEFAULT_DEGREE_CAP):
     """The unique scalar a with lhs = a * rhs in U(chi), or None if rhs
     vanishes in U or no consistent a exists."""
-    chi = lhs.chi
-    lb, rb = blocks(lhs), blocks(rhs)
-    ratio = None
-    rhs_nonzero = False
-    for key in sorted(set(lb) | set(rb)):
-        _, _, mu_f, mu_e = key
-        if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
-            raise DegreeCapExceeded(f"block {key} exceeds cap {degree_cap}")
-        nf = len(words_of_degree(chi.rank, mu_f))
-        ne = len(words_of_degree(chi.rank, mu_e))
-        zero_block = [[chi.ctx.zero] * ne for _ in range(nf)]
-        lm = _sandwich(chi, key, lb.get(key, zero_block))
-        rm = _sandwich(chi, key, rb.get(key, zero_block))
-        for row_l, row_r in zip(lm, rm):
-            for x, y in zip(row_l, row_r):
-                if y.is_zero():
-                    if not x.is_zero():
-                        return None
-                    continue
-                rhs_nonzero = True
-                candidate = x / y
-                if ratio is None:
-                    ratio = candidate
-                elif ratio != candidate:
-                    return None
-    return ratio if rhs_nonzero else None
+    return blocks_ratio(lhs, rhs, nichols_functionals(lhs.chi), degree_cap)
 
 
 def equal_mod_nichols(lhs, rhs, degree_cap=DEFAULT_DEGREE_CAP):
     return is_zero_in_u(lhs - rhs, degree_cap)
-
-
-def solve_ratio_mod_ideal(lhs, rhs, annihilators, degree_cap=DEFAULT_DEGREE_CAP):
-    """The unique scalar a with lhs = a * rhs modulo the two-sided ideal
-    described by the annihilators, or None."""
-    chi = lhs.chi
-    lb, rb = blocks(lhs), blocks(rhs)
-    ratio = None
-    rhs_nonzero = False
-    for key in sorted(set(lb) | set(rb)):
-        _, _, mu_f, mu_e = key
-        if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
-            raise DegreeCapExceeded(f"block {key} exceeds cap {degree_cap}")
-        a_f = annihilators.annihilator(mu_f, F_SIDE)
-        a_e = annihilators.annihilator(mu_e, E_SIDE)
-        if not a_f or not a_e:
-            continue
-        a_e_t = [list(col) for col in zip(*a_e)]
-        nf = len(words_of_degree(chi.rank, mu_f))
-        ne = len(words_of_degree(chi.rank, mu_e))
-        zero_block = [[chi.ctx.zero] * ne for _ in range(nf)]
-        lm = mat_mul(mat_mul(a_f, lb.get(key, zero_block), chi.ctx), a_e_t, chi.ctx)
-        rm = mat_mul(mat_mul(a_f, rb.get(key, zero_block), chi.ctx), a_e_t, chi.ctx)
-        for row_l, row_r in zip(lm, rm):
-            for x, y in zip(row_l, row_r):
-                if y.is_zero():
-                    if not x.is_zero():
-                        return None
-                    continue
-                rhs_nonzero = True
-                candidate = x / y
-                if ratio is None:
-                    ratio = candidate
-                elif ratio != candidate:
-                    return None
-    return ratio if rhs_nonzero else None
 
 
 def serre_image_proportionality(chi, p, i, degree_cap=DEFAULT_DEGREE_CAP):
@@ -323,7 +252,7 @@ def serre_image_proportionality(chi, p, i, degree_cap=DEFAULT_DEGREE_CAP):
     for _ in range(-cpi * (1 - cip) - 2):
         x = ad_e(p, x)
     ann = IdealAnnihilators(target, build_ideal(target, p, verify=False).generators)
-    return solve_ratio_mod_ideal(lhs, x, ann, degree_cap)
+    return blocks_ratio(lhs, x, ann.annihilator, degree_cap)
 
 
 # Coxeter relations -------------------------------------------------------------
@@ -395,10 +324,12 @@ def w_image_in_positive_part(scheme, word, p, degree_cap=DEFAULT_DEGREE_CAP):
     if w_alpha not in set(roots.positive):
         raise ValueError("w(alpha_p) is not a positive root of the target")
     image = chain_apply(lusztig_chain(chi, word), DoubleElement.gen_e(chi, p))
-    rest = DoubleElement(image.chi, {
-        key: c for key, c in image.terms.items()
-        if key[0] or any(key[1]) or any(key[2])})
-    return is_zero_in_u(rest, degree_cap)
+    return _congruent_to_e_part(image, degree_cap)
+
+
+def _congruent_to_e_part(x, degree_cap):
+    """Whether x is congruent to its E-part modulo the Nichols ideal."""
+    return is_zero_in_u(x - DoubleElement.from_free(x.e_part()), degree_cap)
 
 
 # longest element factorization ---------------------------------------------------
@@ -495,7 +426,9 @@ def _sub_degrees(mu):
 
 
 class IdealAnnihilators:
-    """Cached annihilator functionals of degree-truncated ideal spans."""
+    """Cached annihilator functionals of degree-truncated ideal spans;
+    ``annihilator`` is the ideal's ``functionals(mu, side)`` for
+    :func:`double.blocks_zero` and :func:`double.blocks_ratio`."""
 
     def __init__(self, chi, e_gens):
         self.chi = chi
@@ -533,24 +466,6 @@ class IdealAnnihilators:
             if not total.is_zero():
                 return False
         return True
-
-
-def is_zero_mod_ideal(x, annihilators, degree_cap=DEFAULT_DEGREE_CAP):
-    """Block test of membership in the double-sided ideal generated by the
-    E-side generators and their antiautomorphism mirrors."""
-    chi = x.chi
-    for (k, l, mu_f, mu_e), c_matrix in blocks(x).items():
-        if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
-            raise DegreeCapExceeded(f"block exceeds cap {degree_cap}")
-        a_f = annihilators.annihilator(mu_f, F_SIDE)
-        a_e = annihilators.annihilator(mu_e, E_SIDE)
-        if not a_f or not a_e:
-            continue
-        left = mat_mul(a_f, c_matrix, chi.ctx)
-        a_e_t = [list(col) for col in zip(*a_e)]
-        if not mat_is_zero(mat_mul(left, a_e_t, chi.ctx)):
-            return False
-    return True
 
 
 # the characterization machinery -----------------------------------------------
@@ -628,13 +543,13 @@ def nichols_characterization(scheme, family, degree_cap=DEFAULT_DEGREE_CAP,
                            - tmap.f_images[j] * tmap.e_images[i])
                     if i == j:
                         lhs = lhs - (tmap.k_images[i] - tmap.l_images[i])
-                    if not is_zero_mod_ideal(lhs, ann, degree_cap):
+                    if not blocks_zero(lhs, ann.annihilator, degree_cap):
                         failures.append((key, p, f"relation EF[{i},{j}]",
                                          lhs.render()))
             if check_generators:
                 for g in gens:
                     image = tmap.apply(DoubleElement.from_free(g))
-                    if not is_zero_mod_ideal(image, ann, degree_cap):
+                    if not blocks_zero(image, ann.annihilator, degree_cap):
                         failures.append((key, p, "generator image", g.render()))
     return CharacterizationReport(not (failures or pre_failures),
                                   pre_failures, failures)
@@ -656,11 +571,9 @@ def derivation_intertwiner_check(chi, p, i, degree_cap=DEFAULT_DEGREE_CAP):
     def factor_of(x_free):
         x = DoubleElement.from_free(x_free)
         img = tmap.apply(x)
-        e_img = img.e_part()
-        rest = img - DoubleElement.from_free(e_img)
-        if not is_zero_in_u(rest, degree_cap):
+        if not _congruent_to_e_part(img, degree_cap):
             raise AssertionError("transport image is not in the positive part")
-        lhs = DoubleElement.from_free(der_l(i, e_img))
+        lhs = DoubleElement.from_free(der_l(i, img.e_part()))
         y = der_l(i, x_free)
         for _ in range(-c):
             y = der_l(p, y)

@@ -117,14 +117,6 @@ def _v_coeffs(f, v):
     return out
 
 
-def _v_assemble(coeffs, v):
-    out = {}
-    for d, poly in coeffs.items():
-        for exps, c in poly.items():
-            out[exps[:v] + (d,) + exps[v + 1:]] = c
-    return out
-
-
 def _v_leadcoeff(f, v):
     d = _deg_v(f, v)
     out = {}

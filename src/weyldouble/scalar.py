@@ -50,7 +50,9 @@ def cyclotomic_polynomial(n, _cache={}):
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_div(poly, [Fraction(c) for c in cyclotomic_polynomial(d)])
-            assert not any(rem)
+            if any(rem):
+                raise AssertionError(f"Phi_{d} does not divide x^{n} - 1 after "
+                                     "the lower cyclotomic factors")
     result = tuple(int(c) for c in poly)
     _cache[n] = result
     return result

@@ -116,13 +116,6 @@ def morphisms_to_json(scheme, morphisms):
             for m in sorted(morphisms, key=lambda m: (len(m.word), m.word))]
 
 
-def double_to_json(x):
-    """Term list of a normal-form double element."""
-    return [{"f": [i + 1 for i in f], "k": list(k), "l": list(l),
-             "e": [i + 1 for i in e], "coeff": render_scalar(c)}
-            for (f, k, l, e), c in x.canonical()]
-
-
 def roots_to_json(scheme, entries):
     labels = {key: object_label(scheme.objects[key]) for key in scheme.objects}
     return {

@@ -1,9 +1,15 @@
 """Batch interface: exit codes, output determinism, round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 from weyldouble.cli import main
 from weyldouble.serialize import scheme_from_json, scheme_to_json
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(capsys, *argv):
@@ -105,13 +111,6 @@ def test_verify_text_format(capsys):
     assert "'M': 6" in out
 
 
-def test_verify_jobs_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "relations", "--input",
-                           "catalog:A2", "--jobs", "4")
-    assert code == 0
-    assert json.loads(out)["passed"] is True
-
-
 def test_output_determinism(capsys):
     outputs = []
     for _ in range(2):
@@ -137,14 +136,37 @@ def test_file_input_round_trip(capsys, tmp_path):
     assert json.loads(out2)["bicharacter"] == data
 
 
-def test_jobs_output_identical_to_sequential(capsys):
-    outs = []
-    for jobs in ("1", "4"):
-        code, out, _ = run_cli(capsys, "verify", "relations", "--input",
-                               "catalog:A2-zeta4", "--jobs", jobs)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_block_degree_cap_names_block_and_flag(capsys):
+    code, _, err = run_cli(capsys, "verify", "relations", "--input",
+                           "catalog:A2", "--degree-cap", "1")
+    assert code == 2
+    assert "block bidegree" in err and "--degree-cap" in err, err
+
+
+def test_checks_hold_under_optimize():
+    # the mathematical checks are explicit raises, so python -O keeps them
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = "\n".join((
+        "import sys",
+        "from weyldouble import catalog_entry, freealg",
+        "freealg.e_plus_closed = lambda chi, p, i, m: freealg.FreeElement.zero(chi)",
+        "try:",
+        "    freealg.e_plus(catalog_entry('A2').build(), 0, 1, 1)",
+        "except AssertionError as err:",
+        "    print('optimize', sys.flags.optimize, 'raised', err)"))
+    proc = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("optimize 1 raised e_plus(p=0, i=1, k=1)"), proc.stdout
+    outputs = []
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "weyldouble.cli", "verify", "coxeter",
+             "--input", "catalog:A2"], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, (flags, proc.stderr)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_serre_fails_at_root_of_unity(capsys):

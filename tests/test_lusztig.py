@@ -4,11 +4,13 @@ relations, longest-element factorization, and the Serre characterization."""
 import pytest
 
 from weyldouble.bicharacter import Bicharacter, basis_vector, mat_vec
-from weyldouble.double import (DoubleElement, is_zero_in_u, phi_2, phi_3,
-                               phi_4, phi_diag)
+from weyldouble.double import (DoubleElement, blocks_ratio, is_zero_in_u,
+                               nichols_functionals, phi_2, phi_3, phi_4,
+                               phi_diag)
 from weyldouble.freealg import e_minus, e_plus, f_plus, serre_element
-from weyldouble.groupoid import explore, morphisms_from, real_roots
-from weyldouble.lusztig import (build_ideal, build_lusztig_map,
+from weyldouble.groupoid import explore, morphisms_from, rank2_M, real_roots
+from weyldouble.lusztig import (IdealAnnihilators, build_ideal,
+                                build_lusztig_map, chain_apply,
                                 check_defining_relations, coxeter_check,
                                 derivation_intertwiner_check,
                                 longest_factorization, lusztig_chain,
@@ -303,6 +305,29 @@ def test_serre_sufficiency(entries):
         scheme = explore(entries[name])
         rep = nichols_characterization(scheme, serre_family(scheme))
         assert rep.passed, (name, rep.precondition_failures, rep.failures)
+
+
+def test_gram_and_serre_functionals_agree(entries):
+    # where the Serre family generates the Nichols ideal, its annihilators
+    # and the Gram rows are two descriptions of one quotient: the ratios
+    # that coxeter_check solves agree through both
+    for name in ("A2", "B2", "A2-twoparam"):
+        chi = entries[name]
+        scheme = explore(chi)
+        family = serre_family(scheme)
+        M = rank2_M(chi, 0, 1)
+        maps_lhs = lusztig_chain(chi, tuple((0, 1)[t % 2] for t in range(M)))
+        maps_rhs = lusztig_chain(chi, tuple((1, 0)[t % 2] for t in range(M)))
+        target = maps_lhs[-1].target
+        by_gram = nichols_functionals(target)
+        by_family = IdealAnnihilators(target, family[target.key]).annihilator
+        for k in range(chi.rank):
+            for gen in (DoubleElement.gen_e, DoubleElement.gen_f):
+                lhs = chain_apply(maps_lhs, gen(chi, k))
+                rhs = chain_apply(maps_rhs, gen(chi, k))
+                ratio = blocks_ratio(lhs, rhs, by_gram)
+                assert ratio is not None and not ratio.is_zero(), (name, k)
+                assert blocks_ratio(lhs, rhs, by_family) == ratio, (name, k)
 
 
 def test_serre_mutation_fails(a2):
