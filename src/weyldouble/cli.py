@@ -257,7 +257,7 @@ def _suite_lusztig_id(args, chi, scheme, rng):
 
 
 def _suite_longest(args, chi, scheme, rng):
-    fact = longest_factorization(scheme, args.degree_cap)
+    fact = longest_factorization(scheme, args.degree_cap, args.morphism_cap)
     return [{"check": "longest-factorization",
              "word": [i + 1 for i in fact.word],
              "tau": [i + 1 for i in fact.tau],

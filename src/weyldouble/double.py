@@ -400,15 +400,24 @@ def pairing_gram(chi, mu):
 # block C of an element (F-words x E-words) lies in the ideal iff
 # A_F C A_E^T = 0 for the functionals A_F, A_E of its bidegree.
 
-def blocks(x):
+def blocks(x, degree_cap=None):
     """Group terms into coefficient matrices per (K, L, degF, degE):
-    {(k, l, muF, muE): matrix indexed by (F-words(muF), E-words(muE))}."""
+    {(k, l, muF, muE): matrix indexed by (F-words(muF), E-words(muE))}.
+
+    With a degree_cap, a block above it raises DegreeCapExceeded before
+    any word list is built."""
     chi = x.chi
     n = chi.rank
     grouped = {}
     for (f, k, l, e), c in x.terms.items():
         muF, muE = word_degree(n, f), word_degree(n, e)
         grouped.setdefault((k, l, muF, muE), {})[(f, e)] = c
+    if degree_cap is not None:
+        for _, _, mu_f, mu_e in grouped:
+            if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
+                raise DegreeCapExceeded(
+                    f"block bidegree ({mu_f}, {mu_e}) exceeds the degree cap "
+                    f"{degree_cap} (raise it with --degree-cap)")
     out = {}
     for (k, l, muF, muE), cells in grouped.items():
         fwords = words_of_degree(n, muF)
@@ -427,12 +436,8 @@ def nichols_functionals(chi):
     return lambda mu, side: gram_matrix(chi if side == E_SIDE else op, mu)
 
 
-def _block_functionals(key, functionals, degree_cap):
+def _block_functionals(key, functionals):
     _, _, mu_f, mu_e = key
-    if sum(mu_f) > degree_cap or sum(mu_e) > degree_cap:
-        raise DegreeCapExceeded(
-            f"block bidegree ({mu_f}, {mu_e}) exceeds the degree cap "
-            f"{degree_cap} (raise it with --degree-cap)")
     return functionals(mu_f, F_SIDE), functionals(mu_e, E_SIDE)
 
 
@@ -445,8 +450,8 @@ def _sandwich(a_f, c_matrix, a_e, ctx):
 def blocks_zero(x, functionals, degree_cap=DEFAULT_DEGREE_CAP):
     """Whether x lies in the ideal described by functionals."""
     ctx = x.chi.ctx
-    for key, c_matrix in blocks(x).items():
-        a_f, a_e = _block_functionals(key, functionals, degree_cap)
+    for key, c_matrix in blocks(x, degree_cap).items():
+        a_f, a_e = _block_functionals(key, functionals)
         if a_f and a_e and not mat_is_zero(_sandwich(a_f, c_matrix, a_e, ctx)):
             return False
     return True
@@ -457,11 +462,11 @@ def blocks_ratio(lhs, rhs, functionals, degree_cap=DEFAULT_DEGREE_CAP):
     by functionals, or None if rhs lies in the ideal or no consistent a
     exists."""
     chi = lhs.chi
-    lb, rb = blocks(lhs), blocks(rhs)
+    lb, rb = blocks(lhs, degree_cap), blocks(rhs, degree_cap)
     ratio = None
     rhs_nonzero = False
     for key in sorted(set(lb) | set(rb)):
-        a_f, a_e = _block_functionals(key, functionals, degree_cap)
+        a_f, a_e = _block_functionals(key, functionals)
         if not a_f or not a_e:
             continue
         _, _, mu_f, mu_e = key

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .bicharacter import (NotPFiniteError, basis_vector, mat_identity,
                           mat_inverse_int, mat_mul_int, mat_vec)
+from .serialize import object_label
 
 DEFAULT_OBJECT_CAP = 1024
 DEFAULT_MORPHISM_CAP = 10 ** 6
@@ -129,6 +130,17 @@ def morphisms_from(scheme, key, morphism_cap=DEFAULT_MORPHISM_CAP):
     return result
 
 
+def morphisms_within_cap(scheme, key, morphism_cap):
+    """morphisms_from, raising InfiniteGroupoidError at the cap."""
+    morphisms = morphisms_from(scheme, key, morphism_cap)
+    if morphisms is None:
+        raise InfiniteGroupoidError(
+            f"morphisms out of object {object_label(scheme.objects[key])} "
+            f"exceed the morphism cap {morphism_cap} "
+            "(raise it with --morphism-cap)")
+    return morphisms
+
+
 @dataclass
 class FinitenessReport:
     finite: bool | None          # None = unknown (cap reached)
@@ -173,10 +185,7 @@ def real_roots(scheme, key, morphism_cap=DEFAULT_MORPHISM_CAP):
     cached = scheme._cache.get(("roots", key))
     if cached is not None:
         return cached
-    morphisms = morphisms_from(scheme, key, morphism_cap)
-    if morphisms is None:
-        raise InfiniteGroupoidError(
-            "morphism cap reached; use rank2_M or bounded exploration")
+    morphisms = morphisms_within_cap(scheme, key, morphism_cap)
     n = scheme.rank
     roots = set()
     for mor in morphisms:
@@ -252,9 +261,7 @@ def _coxeter_word_identity(scheme, key, i, j, m):
 
 def length(scheme, morphism, morphism_cap=DEFAULT_MORPHISM_CAP):
     """BFS distance of the morphism among all morphisms out of its source."""
-    morphisms = morphisms_from(scheme, morphism.source, morphism_cap)
-    if morphisms is None:
-        raise InfiniteGroupoidError("morphism cap reached")
+    morphisms = morphisms_within_cap(scheme, morphism.source, morphism_cap)
     for mor in morphisms:
         if mor.target == morphism.target and mor.matrix == morphism.matrix:
             return len(mor.word)
@@ -264,9 +271,7 @@ def length(scheme, morphism, morphism_cap=DEFAULT_MORPHISM_CAP):
 def longest_into(scheme, key, morphism_cap=DEFAULT_MORPHISM_CAP):
     """The unique longest morphism into the given object."""
     scheme.require_complete()
-    morphisms = morphisms_from(scheme, key, morphism_cap)
-    if morphisms is None:
-        raise InfiniteGroupoidError("morphism cap reached")
+    morphisms = morphisms_within_cap(scheme, key, morphism_cap)
     top = max(len(m.word) for m in morphisms)
     longest = [m for m in morphisms if len(m.word) == top]
     if len(longest) != 1:
@@ -283,9 +288,7 @@ def longest_into(scheme, key, morphism_cap=DEFAULT_MORPHISM_CAP):
 
 def longest_word_from(scheme, key, morphism_cap=DEFAULT_MORPHISM_CAP):
     """A reduced word (i_1, ..., i_M) for a longest morphism with source key."""
-    morphisms = morphisms_from(scheme, key, morphism_cap)
-    if morphisms is None:
-        raise InfiniteGroupoidError("morphism cap reached")
+    morphisms = morphisms_within_cap(scheme, key, morphism_cap)
     top = max(len(m.word) for m in morphisms)
     best = min(m.word for m in morphisms if len(m.word) == top)
     return best

@@ -16,8 +16,9 @@ from .double import (DoubleElement, DoubleMap, _invert_monomial, ad_e,
 from .freealg import (DEFAULT_DEGREE_CAP, E_SIDE, F_SIDE, FreeElement, der_k,
                       der_l, e_minus, e_plus, f_minus, f_plus,
                       nichols_is_zero, words_of_degree)
-from .groupoid import (InfiniteGroupoidError, longest_word_from,
-                       morphisms_from, rank2_M, real_roots)
+from .groupoid import (DEFAULT_MORPHISM_CAP, InfiniteGroupoidError,
+                       longest_word_from, morphisms_within_cap, rank2_M,
+                       real_roots)
 from .linalg import nullspace
 
 # root-vector ideals ----------------------------------------------------------
@@ -310,17 +311,18 @@ def word_morphism_data(chi, word):
     return matrix, current
 
 
-def w_image_in_positive_part(scheme, word, p, degree_cap=DEFAULT_DEGREE_CAP):
+def w_image_in_positive_part(scheme, word, p, degree_cap=DEFAULT_DEGREE_CAP,
+                             morphism_cap=DEFAULT_MORPHISM_CAP):
     """Image of E_p under the chain of the reduced word lies in the upper
     triangular part of the target, provided w(alpha_p) is positive."""
     chi = scheme.objects[scheme.source_key]
     matrix, target = word_morphism_data(chi, word)
-    morphisms = morphisms_from(scheme, scheme.source_key)
+    morphisms = morphisms_within_cap(scheme, scheme.source_key, morphism_cap)
     dist = {(m.target, m.matrix): len(m.word) for m in morphisms}
     if dist.get((target.key, matrix)) != len(word):
         raise ValueError("word is not reduced")
     w_alpha = mat_vec(matrix, basis_vector(chi.rank, p))
-    roots = real_roots(scheme, target.key)
+    roots = real_roots(scheme, target.key, morphism_cap)
     if w_alpha not in set(roots.positive):
         raise ValueError("w(alpha_p) is not a positive root of the target")
     image = chain_apply(lusztig_chain(chi, word), DoubleElement.gen_e(chi, p))
@@ -341,12 +343,13 @@ class LongestFactorization:
     lambdas: tuple
 
 
-def longest_factorization(scheme, degree_cap=DEFAULT_DEGREE_CAP):
+def longest_factorization(scheme, degree_cap=DEFAULT_DEGREE_CAP,
+                          morphism_cap=DEFAULT_MORPHISM_CAP):
     """T along a reduced word of the longest element equals
     phi_1 . phi_tau . phi_lambda, with tau read off the root action."""
     chi = scheme.objects[scheme.source_key]
     n = chi.rank
-    word = longest_word_from(scheme, scheme.source_key)
+    word = longest_word_from(scheme, scheme.source_key, morphism_cap)
     matrix, target = word_morphism_data(chi, word)
     tau = []
     for idx in range(n):

@@ -2,20 +2,33 @@
 
 A session fixes one :class:`ScalarContext`, either
 
-* ``cyclotomic(N)`` — the field Q(zeta_N), elements stored as rational
-  coefficient vectors reduced modulo the N-th cyclotomic polynomial, or
+* ``cyclotomic(N)`` — the field Q(zeta_N), elements stored as
+  ``(coeffs, den)``: an integer coefficient tuple of length deg(Phi_N),
+  reduced modulo the N-th cyclotomic polynomial, over a positive integer
+  denominator, with gcd(coeffs..., den) = 1 (zero is ``((0,...,0), 1)``),
+  or
 * ``parameters(names)`` — the rational function field Q(q1,...,qk),
-  elements stored as coprime integer-polynomial fractions with positive
-  (grlex-leading) denominator.
+  elements stored as ``(num, den)``, two integer polynomials (frozen by
+  :func:`p_key`) that are coprime in Z[q1,...,qk] and whose denominator
+  has a positive grlex-leading coefficient.  The denominator's content
+  need not be 1: q/2 is ``(q, 2)``.  Zero is ``((), 1)``.
 
 Both representations are canonical: two scalars are equal iff their
 payloads are identical.  Zero-testing is exact; there is no floating
 point anywhere.
+
+Most parameter scalars met in practice are Laurent polynomials, whose
+denominator is a single term c*q^a.  Products and sums of two of them,
+and every inverse, skip the polynomial gcd: the result is normalised by
+an integer content gcd and a per-variable minimum exponent, which is
+what :func:`_normalize` computes for a single-term denominator.
 """
 
 import threading
 import weakref
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add as _add, sub as _sub
 
 from .polys import (grlex_key, p_add, p_const, p_content, p_divexact,
                     p_gcd, p_is_const, p_leading, p_mul, p_neg)
@@ -108,13 +121,14 @@ class ScalarContext:
         return ScalarContext(PARAMETERS, names=names)
 
     def _reduction_table(self, phi):
-        # x^k mod Phi_N for k = deg .. 2*deg-2
+        # x^k mod Phi_N for k = deg .. 2*deg-2; Phi_N is monic, so the
+        # rows are integer
         deg = len(phi) - 1
         table = []
-        current = [Fraction(-phi[i], phi[deg]) for i in range(deg)]
+        current = [-phi[i] for i in range(deg)]
         table.append(tuple(current))
         for _ in range(deg - 2):
-            nxt = [Fraction(0)] + current[:-1]
+            nxt = [0] + current[:-1]
             top = current[-1]
             if top:
                 for i in range(deg):
@@ -141,7 +155,7 @@ class ScalarContext:
 
     def _make_zero(self):
         if self.backend == CYCLOTOMIC:
-            return Scalar(self, (Fraction(0),) * self.degree)
+            return Scalar(self, ((0,) * self.degree, 1))
         return Scalar(self, ((), p_key(p_const(1, self.nvars))))
 
     def integer(self, n):
@@ -150,9 +164,8 @@ class ScalarContext:
     def rational(self, q):
         q = Fraction(q)
         if self.backend == CYCLOTOMIC:
-            coeffs = [Fraction(0)] * self.degree
-            coeffs[0] = q
-            return Scalar(self, tuple(coeffs))
+            coeffs = (q.numerator,) + (0,) * (self.degree - 1)
+            return Scalar(self, (coeffs, q.denominator))
         num = p_const(q.numerator, self.nvars)
         den = p_const(q.denominator, self.nvars)
         return Scalar(self, (p_key(num), p_key(den)))
@@ -162,7 +175,7 @@ class ScalarContext:
         if self.backend != CYCLOTOMIC:
             raise BackendMismatch("root_of_unity requires the cyclotomic backend")
         k %= self.order
-        zeta = Scalar(self, self._reduce([Fraction(0), Fraction(1)]))
+        zeta = Scalar(self, (self._reduce([0, 1]), 1))
         return zeta ** k
 
     def generator(self, name):
@@ -186,8 +199,9 @@ class ScalarContext:
         return Scalar(self, _normalize(num, den))
 
     def _reduce(self, coeffs):
+        """Integer coefficient list (degree <= 2*deg-2) modulo Phi_N."""
         deg = self.degree
-        coeffs = list(coeffs) + [Fraction(0)] * max(0, deg - len(coeffs))
+        coeffs = list(coeffs) + [0] * max(0, deg - len(coeffs))
         for k in range(len(coeffs) - 1, deg - 1, -1):
             c = coeffs[k]
             if c:
@@ -196,6 +210,14 @@ class ScalarContext:
                     coeffs[i] += c * row[i]
             coeffs.pop()
         return tuple(coeffs)
+
+    def _cyclotomic(self, coeffs, den):
+        """Canonical payload of (integer coefficients mod Phi_N) / den,
+        for den > 0."""
+        g = gcd(den, *coeffs)
+        if g == 1:
+            return (tuple(coeffs), den)
+        return (tuple(c // g for c in coeffs), den // g)
 
 
 def p_key(f):
@@ -208,7 +230,8 @@ def p_of(key):
 
 
 def _normalize(num, den):
-    """Canonical fraction: coprime, den content-free with positive lead."""
+    """Canonical fraction of two polynomial dicts: num and den coprime in
+    Z[q] (content included), den with positive grlex-leading coefficient."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -220,6 +243,82 @@ def _normalize(num, den):
     if p_leading(den)[1] < 0:
         num, den = p_neg(num), p_neg(den)
     return (p_key(num), p_key(den))
+
+
+def _neg_key(terms):
+    return tuple((exps, -c) for exps, c in terms)
+
+
+def _laurent(terms, dexps, dc):
+    """Canonical payload of terms / (dc * q^dexps), for dc > 0 and terms a
+    nonempty grlex-descending term tuple.
+
+    The gcd with a single term is the content gcd times the per-variable
+    minimum exponent; dividing by it keeps the term order and the sign of
+    the denominator.
+    """
+    g = dc
+    mins = dexps
+    for exps, c in terms:
+        if g != 1:
+            g = gcd(g, c)
+        if any(mins):
+            mins = tuple(map(min, mins, exps))
+    if any(mins):
+        terms = tuple((tuple(map(_sub, exps, mins)), c // g) for exps, c in terms)
+        dexps = tuple(map(_sub, dexps, mins))
+    elif g != 1:
+        terms = tuple((exps, c // g) for exps, c in terms)
+    return (terms, ((dexps, dc // g),))
+
+
+def _laurent_mul(n1, d1, n2, d2):
+    """Product of two Laurent payloads (single-term denominators d1, d2)."""
+    (e1, c1), = d1
+    (e2, c2), = d2
+    if len(n1) == 1 and len(n2) == 1:
+        # c*q^a times c'*q^b: the single-term case of _laurent, inlined
+        (a1, x1), = n1
+        (a2, x2), = n2
+        x, dc = x1 * x2, c1 * c2
+        nexps, dexps = tuple(map(_add, a1, a2)), tuple(map(_add, e1, e2))
+        mins = tuple(map(min, nexps, dexps))
+        if any(mins):
+            nexps, dexps = tuple(map(_sub, nexps, mins)), tuple(map(_sub, dexps, mins))
+        g = gcd(x, dc)
+        return (((nexps, x // g),), ((dexps, dc // g),))
+    num = {}
+    for a1, x1 in n1:
+        for a2, x2 in n2:
+            exps = tuple(map(_add, a1, a2))
+            s = num.get(exps, 0) + x1 * x2
+            if s:
+                num[exps] = s
+            else:
+                del num[exps]
+    return _laurent(p_key(num), tuple(map(_add, e1, e2)), c1 * c2)
+
+
+def _laurent_add(n1, d1, n2, d2):
+    """Sum of two Laurent payloads, over the lcm of d1 and d2."""
+    (e1, c1), = d1
+    (e2, c2), = d2
+    dc = lcm(c1, c2)
+    dexps = tuple(map(max, e1, e2))
+    num = {}
+    for terms, e, c0 in ((n1, e1, c1), (n2, e2, c2)):
+        m = dc // c0
+        shift = tuple(map(_sub, dexps, e))
+        for exps, c in terms:
+            exps = tuple(map(_add, exps, shift))
+            s = num.get(exps, 0) + c * m
+            if s:
+                num[exps] = s
+            else:
+                del num[exps]
+    if not num:
+        return ((), (((0,) * len(e1), 1),))
+    return _laurent(p_key(num), dexps, dc)
 
 
 class Scalar:
@@ -235,9 +334,7 @@ class Scalar:
     # predicates --------------------------------------------------------
 
     def is_zero(self):
-        if self.ctx.backend == CYCLOTOMIC:
-            return not any(self.payload)
-        return not self.payload[0]
+        return not any(self.payload[0])
 
     def is_one(self):
         return self == self.ctx.one
@@ -245,9 +342,10 @@ class Scalar:
     def is_rational(self):
         """The rational number this scalar equals, or None."""
         if self.ctx.backend == CYCLOTOMIC:
-            if any(self.payload[1:]):
+            coeffs, den = self.payload
+            if any(coeffs[1:]):
                 return None
-            return self.payload[0]
+            return Fraction(coeffs[0], den)
         mono = self.as_monomial()
         if mono is None or any(mono[1]):
             return None
@@ -268,13 +366,19 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.ctx != self.ctx:
+        if other.ctx is not self.ctx and other.ctx != self.ctx:
             raise BackendMismatch("scalars from different contexts")
 
     def __add__(self, other):
         self._check(other)
         if self.ctx.backend == CYCLOTOMIC:
-            return Scalar(self.ctx, tuple(a + b for a, b in zip(self.payload, other.payload)))
+            (a, da), (b, db) = self.payload, other.payload
+            den = lcm(da, db)
+            ma, mb = den // da, den // db
+            return Scalar(self.ctx, self.ctx._cyclotomic(
+                [x * ma + y * mb for x, y in zip(a, b)], den))
+        if len(self.payload[1]) == 1 and len(other.payload[1]) == 1:
+            return Scalar(self.ctx, _laurent_add(*self.payload, *other.payload))
         n1, d1 = p_of(self.payload[0]), p_of(self.payload[1])
         n2, d2 = p_of(other.payload[0]), p_of(other.payload[1])
         g = p_gcd(d1, d2)
@@ -286,8 +390,9 @@ class Scalar:
 
     def __neg__(self):
         if self.ctx.backend == CYCLOTOMIC:
-            return Scalar(self.ctx, tuple(-a for a in self.payload))
-        return Scalar(self.ctx, (p_key(p_neg(p_of(self.payload[0]))), self.payload[1]))
+            coeffs, den = self.payload
+            return Scalar(self.ctx, (tuple(-c for c in coeffs), den))
+        return Scalar(self.ctx, (_neg_key(self.payload[0]), self.payload[1]))
 
     def __sub__(self, other):
         return self + (-other)
@@ -295,15 +400,20 @@ class Scalar:
     def __mul__(self, other):
         self._check(other)
         if self.ctx.backend == CYCLOTOMIC:
-            a, b = self.payload, other.payload
+            (a, da), (b, db) = self.payload, other.payload
             deg = self.ctx.degree
-            conv = [Fraction(0)] * (2 * deg - 1)
+            conv = [0] * (2 * deg - 1)
             for i, x in enumerate(a):
                 if x:
                     for j, y in enumerate(b):
                         if y:
                             conv[i + j] += x * y
-            return Scalar(self.ctx, self.ctx._reduce(conv))
+            return Scalar(self.ctx, self.ctx._cyclotomic(self.ctx._reduce(conv), da * db))
+        (n1, d1), (n2, d2) = self.payload, other.payload
+        if len(d1) == 1 and len(d2) == 1:
+            if not n1 or not n2:
+                return self.ctx.zero
+            return Scalar(self.ctx, _laurent_mul(n1, d1, n2, d2))
         n1, d1 = p_of(self.payload[0]), p_of(self.payload[1])
         n2, d2 = p_of(other.payload[0]), p_of(other.payload[1])
         g1, g2 = p_gcd(n1, d2), p_gcd(n2, d1)
@@ -317,18 +427,23 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.ctx.backend == PARAMETERS:
-            num, den = p_of(self.payload[0]), p_of(self.payload[1])
-            return Scalar(self.ctx, _normalize(den, num))
-        # extended Euclid in Q[x] against Phi_N
-        phi = [Fraction(c) for c in self.ctx._phi]
-        r0, r1 = phi, list(self.payload)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+            # swapping keeps num and den coprime; only the sign may move
+            num, den = self.payload
+            if num[0][1] < 0:
+                num, den = _neg_key(num), _neg_key(den)
+            return Scalar(self.ctx, (den, num))
+        # extended Euclid in Q[x] against Phi_N; the inverse of a/d is d/a
+        coeffs, den = self.payload
+        r0, r1 = [Fraction(c) for c in self.ctx._phi], [Fraction(c) for c in coeffs]
+        s0, s1 = [Fraction(0)], [Fraction(den)]
         while True:
             while r1 and r1[-1] == 0:
                 r1.pop()
             if len(r1) == 1:
                 inv = [c / r1[0] for c in s1]
-                return Scalar(self.ctx, self.ctx._reduce(inv))
+                common = lcm(*(c.denominator for c in inv))
+                ints = [c.numerator * (common // c.denominator) for c in inv]
+                return Scalar(self.ctx, self.ctx._cyclotomic(self.ctx._reduce(ints), common))
             q, rem = _poly_div(r0, r1)
             qs = _poly_mul_frac(q, s1)
             s_new = [a - b for a, b in
@@ -600,10 +715,11 @@ def _render_frac(q):
 
 def _render_cyclotomic(scalar):
     parts = []
-    for k in range(len(scalar.payload) - 1, -1, -1):
-        c = scalar.payload[k]
-        if not c:
+    coeffs, den = scalar.payload
+    for k in range(len(coeffs) - 1, -1, -1):
+        if not coeffs[k]:
             continue
+        c = Fraction(coeffs[k], den)
         if k == 0:
             body = _render_frac(abs(c))
         else:

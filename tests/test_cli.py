@@ -6,7 +6,8 @@ import subprocess
 import sys
 
 from weyldouble.cli import main
-from weyldouble.serialize import scheme_from_json, scheme_to_json
+from weyldouble.serialize import (bicharacter_from_json, object_label,
+                                  scheme_from_json, scheme_to_json)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -141,6 +142,61 @@ def test_block_degree_cap_names_block_and_flag(capsys):
                            "catalog:A2", "--degree-cap", "1")
     assert code == 2
     assert "block bidegree" in err and "--degree-cap" in err, err
+
+
+# runs the CLI as a child of a fresh interpreter and reports the child's
+# exit code, stderr and peak RSS, so earlier children of the test process
+# do not enter the measurement
+MEASURE = "\n".join((
+    "import json, resource, subprocess, sys",
+    "proc = subprocess.run([sys.executable, '-m', 'weyldouble.cli'] + sys.argv[1:],",
+    "                      capture_output=True, text=True)",
+    "rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss",
+    "print(json.dumps([proc.returncode, proc.stderr, rss]))"))
+
+
+def measure_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", MEASURE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, err, rss_kb = json.loads(proc.stdout)
+    return code, err, rss_kb / 1024
+
+
+def test_block_degree_cap_checked_before_word_lists(tmp_path):
+    # the (12, 12) block of this input has 2.7 M words per side; the cap
+    # must stop it before any word list is built
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps(
+        {"rank": 2, "scalar": {"backend": "cyclotomic", "order": 12},
+         "q": [["z", "z^9"], ["1", "z^6"]]}))
+    code, err, rss_mb = measure_cli("verify", "serre", "--input", str(path))
+    assert code == 2, err
+    assert err == ("precondition failure: block bidegree ((0, 0), (12, 12)) "
+                   "exceeds the degree cap 14 (raise it with --degree-cap)\n")
+    assert rss_mb < 200, rss_mb
+
+
+AFFINE_A1 = {"rank": 2, "scalar": {"backend": "parameters", "names": ["q"]},
+             "q": [["q^2", "q^-2"], ["q^-2", "q^2"]]}
+
+
+def test_morphism_cap_is_honoured_by_every_command(tmp_path):
+    # affine A1^(1) has one object and infinitely many morphisms; every
+    # command that needs them all stops at the cap with one message
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps(AFFINE_A1))
+    errors = set()
+    for argv in (("roots",), ("verify", "longest")):
+        code, err, rss_mb = measure_cli(*argv, "--input", str(path),
+                                        "--morphism-cap", "500")
+        assert code == 2, (argv, err)
+        assert rss_mb < 200, (argv, rss_mb)
+        errors.add(err)
+    label = object_label(bicharacter_from_json(AFFINE_A1))
+    assert errors == {f"precondition failure: morphisms out of object {label} "
+                      "exceed the morphism cap 500 (raise it with --morphism-cap)\n"}
 
 
 def test_checks_hold_under_optimize():

@@ -3,13 +3,14 @@
 import pytest
 
 from weyldouble.bicharacter import Bicharacter, basis_vector, mat_identity, mat_vec
-from weyldouble.groupoid import (InfiniteGroupoidError, TruncatedSchemeError,
-                                 check_cm, explore, is_finite, length,
-                                 longest_into, longest_word_from,
-                                 morphisms_from, rank2_M, real_roots,
-                                 verify_root_axioms)
+from weyldouble.groupoid import (InfiniteGroupoidError, Morphism,
+                                 TruncatedSchemeError, check_cm, explore,
+                                 is_finite, length, longest_into,
+                                 longest_word_from, morphisms_from, rank2_M,
+                                 real_roots, verify_root_axioms)
+from weyldouble.lusztig import longest_factorization, w_image_in_positive_part
 from weyldouble.scalar import ScalarContext
-from weyldouble.serialize import scheme_from_json, scheme_to_json
+from weyldouble.serialize import object_label, scheme_from_json, scheme_to_json
 
 # classical Weyl group data, frozen
 CLASSICAL = {
@@ -158,6 +159,27 @@ def test_affine_type_does_not_close():
     assert report.finite is None
     with pytest.raises(InfiniteGroupoidError):
         real_roots(scheme, affine.key, morphism_cap=500)
+
+
+def test_morphism_cap_message_is_shared():
+    # every search that needs all morphisms out of an object stops at the
+    # cap with one text naming the flag, its value and the source object
+    ctx = ScalarContext.parameters("q")
+    q = ctx.generator("q")
+    affine = Bicharacter(ctx, [[q ** 2, q ** -2], [q ** -2, q ** 2]])
+    scheme = explore(affine)
+    key = affine.key
+    identity = Morphism(key, key, (), mat_identity(2))
+    messages = set()
+    for search in (real_roots, longest_into, longest_word_from,
+                   lambda s, k, cap: length(s, identity, cap),
+                   lambda s, k, cap: w_image_in_positive_part(s, (0,), 1, 14, cap),
+                   lambda s, k, cap: longest_factorization(s, 14, cap)):
+        with pytest.raises(InfiniteGroupoidError) as err:
+            search(scheme, key, 40)
+        messages.add(str(err.value))
+    assert messages == {f"morphisms out of object {object_label(affine)} exceed "
+                        "the morphism cap 40 (raise it with --morphism-cap)"}
 
 
 def test_truncated_scheme_is_refused(entries):

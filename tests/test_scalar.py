@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from weyldouble.scalar import (ParseError, ScalarContext, parse_scalar,
-                               q_binomial, q_factorial, q_int)
+from weyldouble.polys import p_add, p_mul
+from weyldouble.scalar import (ParseError, Scalar, ScalarContext, _normalize,
+                               parse_scalar, q_binomial, q_factorial, q_int)
 
 
 def quantum_plane_binomial(m, n, q):
@@ -222,3 +224,162 @@ def test_multiplicative_order():
     param = ScalarContext.parameters("q")
     assert param.generator("q").multiplicative_order() is None
     assert param.integer(-1).multiplicative_order() == 2
+
+
+# differential tests of the arithmetic kernels ------------------------------------
+
+def _random_poly(ctx, rng, terms, max_exp=2):
+    poly = {}
+    for _ in range(terms):
+        exps = tuple(rng.randint(0, max_exp) for _ in ctx.names)
+        poly[exps] = poly.get(exps, 0) + rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    return {e: c for e, c in poly.items() if c}
+
+
+def _random_operand(ctx, rng):
+    """A canonical scalar built by _normalize itself: zero, a Laurent
+    polynomial (single-term denominator, any sign and content), or a
+    fraction with a polynomial denominator."""
+    kind = rng.choice(["zero", "laurent", "laurent", "laurent", "general"])
+    if kind == "zero":
+        return ctx.zero
+    num = _random_poly(ctx, rng, rng.randint(1, 3))
+    if not num:
+        return ctx.zero
+    if kind == "laurent":
+        den = {tuple(rng.randint(0, 3) for _ in ctx.names): rng.choice([-6, -2, 1, 2, 3, 4])}
+    else:
+        den = _random_poly(ctx, rng, rng.randint(2, 3))
+        if len(den) < 2:
+            den = {(1,) + (0,) * (len(ctx.names) - 1): 1, (0,) * len(ctx.names): -1}
+    return Scalar(ctx, _normalize(num, den))
+
+
+def _reference(ctx, num, den):
+    return Scalar(ctx, _normalize(num, den))
+
+
+@pytest.mark.parametrize("names", [("q",), ("q", "r")])
+def test_parameter_kernels_match_normalize(names):
+    # every result must be the payload (and hash) of the plain _normalize
+    # route on the unreduced numerator and denominator
+    ctx = ScalarContext.parameters(*names)
+    rng = random.Random(f"kernels:{names}")
+    laurent_pairs = 0
+    for _ in range(200):
+        a, b = _random_operand(ctx, rng), _random_operand(ctx, rng)
+        for x, y in ((a, b), (b, a)):
+            n1, d1 = dict(x.payload[0]), dict(x.payload[1])
+            n2, d2 = dict(y.payload[0]), dict(y.payload[1])
+            laurent_pairs += len(d1) == 1 and len(d2) == 1
+            want_mul = _reference(ctx, p_mul(n1, n2), p_mul(d1, d2))
+            want_add = _reference(ctx, p_add(p_mul(n1, d2), p_mul(n2, d1)), p_mul(d1, d2))
+            for got, want in ((x * y, want_mul), (x + y, want_add)):
+                assert got.payload == want.payload, (x, y)
+                assert hash(got) == hash(want)
+        if not a.is_zero():
+            want = _reference(ctx, dict(a.payload[1]), dict(a.payload[0]))
+            assert a.inverse().payload == want.payload, a
+            power = ctx.one
+            for k in range(1, 3):
+                power = _reference(ctx, p_mul(dict(power.payload[0]), dict(a.payload[0])),
+                                   p_mul(dict(power.payload[1]), dict(a.payload[1])))
+                assert (a ** k).payload == power.payload, (a, k)
+                assert (a ** -k).payload == power.inverse().payload, (a, k)
+    assert laurent_pairs > 150
+
+
+def test_laurent_content_is_reduced():
+    ctx = ScalarContext.parameters("q")
+    q = ctx.generator("q")
+    half = ctx.rational(Fraction(1, 2))
+    # q * (1/2): the denominator keeps its content 2, coprime to q
+    assert (q * half).payload == ((((1,), 1),), (((0,), 2),))
+    assert (ctx.integer(2) * half).payload == ctx.one.payload
+    assert (ctx.integer(6) * q / (ctx.integer(4) * q ** 3)).payload == \
+        ((((0,), 3),), (((2,), 2),))
+    assert (half * q + half * q).payload == q.payload
+    assert (q / ctx.integer(-3)).payload == ((((1,), -1),), (((0,), 3),))
+
+
+# Phi_N, constant term first, written out independently of the program
+PHI = {3: [1, 1, 1], 4: [1, 0, 1], 5: [1, 1, 1, 1, 1], 8: [1, 0, 0, 0, 1],
+       12: [1, 0, -1, 0, 1]}
+
+
+def _ref_reduce(coeffs, n):
+    phi = PHI[n]
+    deg = len(phi) - 1
+    coeffs = [Fraction(c) for c in coeffs] + [Fraction(0)] * deg
+    for k in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[k]
+        for i, p in enumerate(phi):
+            coeffs[k - deg + i] -= c * p
+    return coeffs[:deg]
+
+
+def _ref_mul(a, b, n):
+    conv = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(conv, n)
+
+
+def _ref_str(coeffs):
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            mono = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+            if not mono:
+                body = str(abs(c))
+            else:
+                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+            parts.append(("-" if c < 0 else "+", body))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {body}" for sign, body in parts[1:])
+
+
+def _as_fractions(x):
+    coeffs, den = x.payload
+    assert den > 0 and gcd(den, *coeffs) == 1, x.payload
+    return [Fraction(c, den) for c in coeffs]
+
+
+def _from_fractions(ctx, coeffs):
+    z = ctx.root_of_unity()
+    out = ctx.zero
+    for k, c in enumerate(coeffs):
+        out = out + ctx.rational(c) * z ** k
+    return out
+
+
+@pytest.mark.parametrize("order", sorted(PHI))
+def test_cyclotomic_kernels_match_fraction_reference(order):
+    ctx = ScalarContext.cyclotomic(order)
+    deg = len(PHI[order]) - 1
+    one = [Fraction(1)] + [Fraction(0)] * (deg - 1)
+    rng = random.Random(f"cyclotomic:{order}")
+    for _ in range(60):
+        ra, rb = ([Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 6]))
+                   for _ in range(deg)] for _ in range(2))
+        if rng.random() < 0.1:
+            ra = [Fraction(0)] * deg
+        a, b = _from_fractions(ctx, ra), _from_fractions(ctx, rb)
+        assert _as_fractions(a) == ra and _as_fractions(b) == rb
+        assert str(a) == _ref_str(ra)
+        assert _as_fractions(a * b) == _ref_mul(ra, rb, order)
+        assert _as_fractions(a + b) == [x + y for x, y in zip(ra, rb)]
+        assert _as_fractions(a - b) == [x - y for x, y in zip(ra, rb)]
+        power = one
+        for k in range(4):
+            assert _as_fractions(a ** k) == power
+            power = _ref_mul(power, ra, order)
+        if any(ra):
+            inv = _as_fractions(a.inverse())
+            assert _ref_mul(ra, inv, order) == one
+            assert _as_fractions(a ** -2) == _ref_mul(inv, inv, order)
+            assert str(a.inverse()) == _ref_str(inv)
